@@ -307,26 +307,13 @@ fn main() {
 }
 
 /// Wall-clock microbenchmarks of the simulator's two hottest loops:
-/// engine event dispatch and the `DP_POLL` interest scan. Unlike the
-/// simulated cost tables above, these measure *this machine's* real
-/// time — the criterion-shim style numbers behind the BENCH.json
-/// throughput lane. (Binary drivers are exempt from the wallclock
-/// lint; library code never reads the clock.)
+/// the timer queue every deadline source runs on and the `DP_POLL`
+/// interest scan. Unlike the simulated cost tables above, these measure
+/// *this machine's* real time. (Binary drivers are exempt from the
+/// wallclock lint; library code never reads the clock.)
 fn wall_microbench() {
-    use simcore::engine::{BoxedEvent, Engine, Event};
+    use simcore::queue::TimerQueue;
     use std::time::Instant;
-
-    /// Typed payload: the arena dispatch path, no per-event allocation.
-    enum Tick {
-        Add,
-    }
-    impl Event<u64> for Tick {
-        fn fire(self, state: &mut u64, _e: &mut Engine<u64, Self>) {
-            match self {
-                Tick::Add => *state += 1,
-            }
-        }
-    }
 
     /// Median ns-per-unit over 5 samples; `f` runs the workload once
     /// and returns how many units it dispatched.
@@ -346,57 +333,33 @@ fn wall_microbench() {
     println!();
     println!("Wall-clock microbenchmarks (real time on this machine, median of 5)");
 
-    const N: u64 = 200_000;
-    let typed = per_unit_ns(|| {
-        let mut e: Engine<u64, Tick> = Engine::new();
+    /// Pushes `N` timers, `keep` in flight, popping the earliest as it
+    /// falls due; `lane(i)` picks each push's lane. Returns the pushes.
+    fn churn(lane: impl Fn(u64) -> Option<u64>) -> u64 {
+        const N: u64 = 200_000;
+        let mut q: TimerQueue<u64> = TimerQueue::new();
+        let mut now = SimTime::ZERO;
         let mut acc = 0u64;
         for i in 0..N {
-            e.schedule_at(SimTime::from_nanos(i % 977), Tick::Add);
-        }
-        e.run(&mut acc);
-        acc
-    });
-    let boxed = per_unit_ns(|| {
-        let mut e: Engine<u64> = Engine::new();
-        let mut acc = 0u64;
-        for i in 0..N {
-            e.schedule_at(
-                SimTime::from_nanos(i % 977),
-                BoxedEvent::new(|s: &mut u64, _e| *s += 1),
-            );
-        }
-        e.run(&mut acc);
-        acc
-    });
-    println!("  engine dispatch, typed arena:  {typed:>7.1} ns/event");
-    println!("  engine dispatch, boxed:        {boxed:>7.1} ns/event");
-
-    /// Chain payload: each event schedules a same-instant follow-up,
-    /// exercising the batch-dispatch due-now lane (follow-ups at `now`
-    /// bypass the heap entirely).
-    enum Chain {
-        Hop(u32),
-    }
-    impl Event<u64> for Chain {
-        fn fire(self, state: &mut u64, e: &mut Engine<u64, Self>) {
-            let Chain::Hop(left) = self;
-            *state += 1;
-            if left > 0 {
-                e.schedule_at(e.now(), Chain::Hop(left - 1));
+            // Four sources, each a constant delay after `now`: monotone
+            // per source, interleaved across sources.
+            let delay = SimDuration::from_micros(100 + 37 * (i % 4));
+            q.push(now + delay, lane(i % 4), i);
+            now += SimDuration::from_micros(1);
+            while let Some((_, v)) = q.pop_due(now) {
+                acc = acc.wrapping_add(v);
             }
         }
-    }
-    let burst = per_unit_ns(|| {
-        let mut e: Engine<u64, Chain> = Engine::new();
-        let mut acc = 0u64;
-        // 2_000 roots, each chaining 99 same-instant follow-ups.
-        for i in 0..2_000u64 {
-            e.schedule_at(SimTime::from_nanos(i % 977), Chain::Hop(99));
+        while let Some((_, v)) = q.pop_due(SimTime::MAX) {
+            acc = acc.wrapping_add(v);
         }
-        e.run(&mut acc);
-        acc
-    });
-    println!("  engine dispatch, same-instant chain: {burst:>7.1} ns/event");
+        std::hint::black_box(acc);
+        N
+    }
+    let laned = per_unit_ns(|| churn(Some));
+    let heap = per_unit_ns(|| churn(|_| None));
+    println!("  timer queue push+pop, 4 lanes:  {laned:>7.1} ns/timer");
+    println!("  timer queue push+pop, heap only: {heap:>7.1} ns/timer");
 
     for (label, hints) in [("hints", true), ("full scan", false)] {
         let mut w = world_with_conns(501);

@@ -217,7 +217,8 @@ impl LoadGen {
         // after the warmup — the paper fixes the inactive load, then
         // drives request rates against it (§5.1).
         let first = self.next_arrival_at(now + self.cfg.warmup);
-        let mut timers = vec![(first, LoadTimer::NextArrival)];
+        let mut timers = Vec::with_capacity(1 + self.cfg.inactive);
+        timers.push((first, LoadTimer::NextArrival));
         // Large populations (the million lane) spread across the whole
         // warmup so the connect burst doesn't pile onto one instant;
         // the classic loads keep the original 2 s stagger bit for bit.

@@ -2,10 +2,8 @@
 //! one, the load generator on the other — the paper's experimental
 //! set-up (§5) as one deterministic co-simulation loop.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use devpoll::DevPollRegistry;
+use simcore::queue::TimerQueue;
 use simcore::stats::RateSummary;
 use simcore::time::SimTime;
 use simkernel::{CostModel, Kernel, KernelEvent};
@@ -31,8 +29,8 @@ pub struct Testbed {
     pub registry: DevPollRegistry,
     /// The load generator.
     pub load: LoadGen,
-    timers: BinaryHeap<Reverse<(SimTime, u64, LoadTimer)>>,
-    timer_seq: u64,
+    /// Load-generator timers, one lane per kind (see [`timer_lane`]).
+    timers: TimerQueue<LoadTimer>,
     now: SimTime,
     /// Simulation events dispatched so far: network notifies, kernel
     /// events and load-generator timer firings. The numerator of the
@@ -59,8 +57,7 @@ impl Testbed {
             kernel,
             registry: DevPollRegistry::new(),
             load,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            timers: TimerQueue::new(),
             now: SimTime::ZERO,
             events: 0,
             notify_scratch: Vec::new(),
@@ -80,9 +77,7 @@ impl Testbed {
     }
 
     fn schedule(&mut self, at: SimTime, t: LoadTimer) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(Reverse((at, seq, t)));
+        self.timers.push(at, Some(timer_lane(t)), t);
     }
 
     /// Starts the server and arms the load generator.
@@ -97,6 +92,10 @@ impl Testbed {
             .start(&mut ctx)
             .expect("invariant: server start on a fresh testbed cannot fail");
         let timers = self.load.bootstrap(self.now);
+        // One `NextArrival`, then the held-open population's staggered
+        // reopens: size their lane once instead of regrowing it.
+        self.timers
+            .reserve(timer_lane(LoadTimer::ReopenInactive), timers.len());
         for (at, t) in timers {
             self.schedule(at, t);
         }
@@ -104,6 +103,7 @@ impl Testbed {
     }
 
     /// Processes everything due at exactly `now` until quiescent.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     fn drain_at(&mut self, now: SimTime, server: &mut dyn Server) {
         loop {
             // Network deliveries and their fan-out.
@@ -148,14 +148,7 @@ impl Testbed {
             self.kevent_scratch = kevents;
 
             // Load-generator timers due now.
-            while let Some(&Reverse((at, _, _))) = self.timers.peek() {
-                if at > now {
-                    break;
-                }
-                let Reverse((_, _, t)) = self
-                    .timers
-                    .pop()
-                    .expect("invariant: peeked timer still queued");
+            while let Some((_, t)) = self.timers.pop_due(now) {
                 self.events += 1;
                 let follow = self.load.on_timer(&mut self.net, now, t);
                 for (at, t) in follow {
@@ -170,10 +163,7 @@ impl Testbed {
             // and usually empty — extra pass through every phase.
             let more = self.net.has_work_at(now)
                 || self.kernel.has_work_at(now)
-                || self
-                    .timers
-                    .peek()
-                    .is_some_and(|&Reverse((at, _, _))| at <= now);
+                || self.timers.has_due(now);
             if !more {
                 break;
             }
@@ -185,7 +175,7 @@ impl Testbed {
         if let Some(k) = self.kernel.next_deadline() {
             next = Some(next.map_or(k, |n| n.min(k)));
         }
-        if let Some(&Reverse((t, _, _))) = self.timers.peek() {
+        if let Some(t) = self.timers.next_deadline() {
             next = Some(next.map_or(t, |n| n.min(t)));
         }
         next
@@ -288,6 +278,22 @@ impl Testbed {
             mem_server_bytes,
             mem_eps_peak,
         }
+    }
+}
+
+/// Timer-queue lane of a load-generator timer: its kind. Each kind is
+/// armed a fixed delay after the current instant (`Timeout` + client
+/// timeout, `SendRequest` + think time, `ReopenInactive` +100/+50 ms)
+/// or, for `NextArrival`, one at a time, so each lane's deadlines
+/// arrive in order. The queue sends any exception, such as a reopen
+/// due before the last of the bootstrap's staggered reopens, to its
+/// fallback heap.
+fn timer_lane(t: LoadTimer) -> u64 {
+    match t {
+        LoadTimer::NextArrival => 0,
+        LoadTimer::Timeout(_) => 1,
+        LoadTimer::ReopenInactive => 2,
+        LoadTimer::SendRequest(_) => 3,
     }
 }
 

@@ -1,13 +1,15 @@
 #![warn(missing_docs)]
 
-//! `simcore` — deterministic discrete-event simulation engine.
+//! `simcore` — deterministic discrete-event simulation primitives.
 //!
 //! This crate is the foundation of the reproduction of *Scalable Network
 //! I/O in Linux* (Provos & Lever, USENIX 2000). It provides:
 //!
 //! * [`time`] — the simulated clock ([`time::SimTime`],
 //!   [`time::SimDuration`]);
-//! * [`engine`] — the event queue and scheduler ([`engine::Engine`]);
+//! * [`queue`] — the one event queue every deadline source runs on
+//!   ([`queue::TimerQueue`]: `(deadline, push order)` pops, FIFO lanes
+//!   in front of a fallback heap);
 //! * [`rng`] — seeded, fork-able randomness ([`rng::SimRng`]);
 //! * [`stats`] — measurement primitives (online moments, exact quantiles,
 //!   the per-window [`stats::RateSampler`] behind the paper's reply-rate
@@ -21,10 +23,10 @@
 //! Everything is single-threaded and deterministic: a run is exactly
 //! reproducible from its RNG seed.
 
-pub mod engine;
 pub mod fingerprint;
 pub mod paged;
 pub mod probe;
+pub mod queue;
 pub mod rng;
 pub mod series;
 pub mod span;
@@ -32,9 +34,9 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{BoxedEvent, Engine, Event, EventFn, EventId};
 pub use paged::{PagedBits, PagedSlots, PAGE_SLOTS};
 pub use probe::{Gauge, Histogram, MetricRegistry, Snapshot};
+pub use queue::TimerQueue;
 pub use rng::SimRng;
 pub use span::{Phase, SpanGuard, SpanRecord, SpanTracer};
 pub use stats::{OnlineStats, Quantiles, RateSampler, RateSummary};

@@ -249,6 +249,16 @@ impl PagedBits {
         }
     }
 
+    /// The 64-bit word holding bits `64 * w .. 64 * w + 64` (zero on
+    /// an unallocated page) — the unit of a word-at-a-time scan.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        match self.pages.get(w / WORDS_PER_PAGE) {
+            Some(Some(words)) => words[w % WORDS_PER_PAGE],
+            _ => 0,
+        }
+    }
+
     /// Sets bit `ix`; returns whether it was newly set.
     pub fn insert(&mut self, ix: usize) -> bool {
         let page = ix / PAGE_BITS;
@@ -395,6 +405,9 @@ mod tests {
         b.insert(64);
         b.for_each_nonzero_word(|ix, w| words.push((ix, w)));
         assert_eq!(words, vec![(0, 1), (1, 1)]);
+        assert_eq!((b.word(0), b.word(1), b.word(2)), (1, 1, 0));
+        // Words on pages never touched read as zero.
+        assert_eq!(b.word(10 * PAGE_BITS / 64), 0);
 
         b.clear();
         assert_eq!(b.count(), 0);

@@ -10,10 +10,12 @@
 //! * **histograms** — log2-bucketed value distributions (per-syscall
 //!   simulated latency, event batch sizes).
 //!
-//! Metrics are keyed by `&'static str` so a record is one branch-free
-//! map update, and stored in `BTreeMap`s so iteration — and therefore
-//! every rendered snapshot — is deterministic. Two identical seeded runs
-//! produce byte-identical snapshots.
+//! Metrics are keyed by `&'static str`. A record finds its slot through
+//! a small cache keyed by the string's address, so the hot path does no
+//! string compare; names are ordered in `BTreeMap`s that only a name's
+//! first use and snapshots touch, so every rendered snapshot is
+//! deterministic. Two identical seeded runs produce byte-identical
+//! snapshots.
 //!
 //! # Examples
 //!
@@ -181,6 +183,143 @@ impl Histogram {
     }
 }
 
+/// One metric kind's storage: values in dense slots, named by an
+/// ordered map that only first touches and snapshots consult.
+#[derive(Debug, Clone)]
+struct Family<V> {
+    by_name: BTreeMap<&'static str, u32>,
+    values: Vec<V>,
+}
+
+impl<V> Default for Family<V> {
+    fn default() -> Self {
+        Family {
+            by_name: BTreeMap::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<V: Default> Family<V> {
+    /// The slot of `name`, created on its first use.
+    fn slot_of(&mut self, name: &'static str) -> u32 {
+        let fresh = self.values.len() as u32;
+        let slot = *self.by_name.entry(name).or_insert(fresh);
+        if slot == fresh {
+            self.values.push(V::default());
+        }
+        slot
+    }
+
+    fn get(&self, name: &str) -> Option<&V> {
+        self.by_name.get(name).map(|&s| &self.values[s as usize])
+    }
+
+    /// `(name, value)` in name order.
+    fn iter(&self) -> impl Iterator<Item = (&'static str, &V)> {
+        self.by_name
+            .iter()
+            .map(|(&k, &s)| (k, &self.values[s as usize]))
+    }
+}
+
+/// Metric kinds, indexing [`CacheEntry::slots`].
+const COUNTER: usize = 0;
+const GAUGE: usize = 1;
+const HIST: usize = 2;
+
+/// No slot for this kind yet.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One name alias in the front cache: the address and length of a
+/// `&'static str`, and the slot that name has in each family.
+#[derive(Debug, Clone, Copy)]
+struct CacheEntry {
+    /// 0 marks an empty bucket (a `&str` is never null).
+    addr: usize,
+    len: u32,
+    slots: [u32; 3],
+}
+
+const EMPTY: CacheEntry = CacheEntry {
+    addr: 0,
+    len: 0,
+    slots: [NO_SLOT; 3],
+};
+
+/// The front cache: an open-addressing table keyed by string *address*,
+/// so a record on the hot path hashes one pointer and compares two
+/// words, never the string bytes. A `&'static str` is never freed, so
+/// an address cannot come to name different bytes. The same name
+/// reached through another address misses once, finds its slot in the
+/// name-ordered map, and is cached as a second alias.
+#[derive(Debug, Clone, Default)]
+struct NameCache {
+    /// Power-of-two bucket count, or empty before the first record.
+    buckets: Vec<CacheEntry>,
+    used: usize,
+}
+
+impl NameCache {
+    /// The first bucket `(addr, len)` probes.
+    fn home(&self, addr: usize, len: u32) -> usize {
+        let h = (addr as u64 ^ len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> 32) as usize & (self.buckets.len() - 1)
+    }
+
+    /// The cached slot of `name` in family `kind`, if any.
+    // #[hot_path] — simcheck bans per-call allocation in this function
+    #[inline]
+    fn get(&self, kind: usize, name: &str) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let (addr, len) = (name.as_ptr() as usize, name.len() as u32);
+        let mut i = self.home(addr, len);
+        loop {
+            let e = &self.buckets[i];
+            if (e.addr, e.len) == (addr, len) {
+                return (e.slots[kind] != NO_SLOT).then_some(e.slots[kind]);
+            }
+            if e.addr == 0 {
+                return None;
+            }
+            i = (i + 1) & (self.buckets.len() - 1);
+        }
+    }
+
+    /// Records `slot` as `name`'s slot in family `kind`.
+    fn insert(&mut self, kind: usize, name: &str, slot: u32) {
+        if (self.used + 1) * 2 > self.buckets.len() {
+            let bigger = vec![EMPTY; (self.buckets.len() * 2).max(32)];
+            self.used = 0;
+            for e in std::mem::replace(&mut self.buckets, bigger) {
+                if e.addr != 0 {
+                    *self.entry(e.addr, e.len) = e;
+                }
+            }
+        }
+        self.entry(name.as_ptr() as usize, name.len() as u32).slots[kind] = slot;
+    }
+
+    /// The bucket holding `(addr, len)`, claimed if it was absent.
+    fn entry(&mut self, addr: usize, len: u32) -> &mut CacheEntry {
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(addr, len);
+        while self.buckets[i].addr != 0
+            && (self.buckets[i].addr, self.buckets[i].len) != (addr, len)
+        {
+            i = (i + 1) & mask;
+        }
+        let e = &mut self.buckets[i];
+        if e.addr == 0 {
+            *e = CacheEntry { addr, len, ..EMPTY };
+            self.used += 1;
+        }
+        e
+    }
+}
+
 /// The registry all subsystems record into.
 ///
 /// Owned by the simulated kernel and reachable from every syscall and
@@ -188,9 +327,10 @@ impl Histogram {
 /// network stack, server metrics) before a snapshot is taken.
 #[derive(Debug, Clone, Default)]
 pub struct MetricRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, Gauge>,
-    hists: BTreeMap<&'static str, Histogram>,
+    counters: Family<u64>,
+    gauges: Family<Gauge>,
+    hists: Family<Histogram>,
+    cache: NameCache,
 }
 
 impl MetricRegistry {
@@ -199,14 +339,41 @@ impl MetricRegistry {
         MetricRegistry::default()
     }
 
+    /// The slot of `name` in family `kind`: from the front cache, or on
+    /// a miss from [`MetricRegistry::first_touch`].
+    // #[hot_path] — simcheck bans per-call allocation in this function
+    #[inline]
+    fn slot(&mut self, kind: usize, name: &'static str) -> usize {
+        match self.cache.get(kind, name) {
+            Some(slot) => slot as usize,
+            None => self.first_touch(kind, name) as usize,
+        }
+    }
+
+    /// The slow path of [`MetricRegistry::slot`]: a name's first use
+    /// through this address. Finds or creates the name's slot in the
+    /// name-ordered map and caches the alias.
+    #[inline(never)]
+    fn first_touch(&mut self, kind: usize, name: &'static str) -> u32 {
+        let slot = match kind {
+            COUNTER => self.counters.slot_of(name),
+            GAUGE => self.gauges.slot_of(name),
+            _ => self.hists.slot_of(name),
+        };
+        self.cache.insert(kind, name, slot);
+        slot
+    }
+
     /// Increments a counter by one.
     pub fn inc(&mut self, name: &'static str) {
         self.add(name, 1);
     }
 
     /// Adds `n` to a counter.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+        let slot = self.slot(COUNTER, name);
+        self.counters.values[slot] += n;
     }
 
     /// Current counter value (0 if never touched).
@@ -215,8 +382,10 @@ impl MetricRegistry {
     }
 
     /// Sets a gauge, updating its high-water mark.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn gauge_set(&mut self, name: &'static str, value: u64) {
-        let g = self.gauges.entry(name).or_default();
+        let slot = self.slot(GAUGE, name);
+        let g = &mut self.gauges.values[slot];
         g.value = value;
         g.high_water = g.high_water.max(value);
     }
@@ -227,8 +396,10 @@ impl MetricRegistry {
     }
 
     /// Records a histogram sample.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().observe(value);
+        let slot = self.slot(HIST, name);
+        self.hists.values[slot].observe(value);
     }
 
     /// Histogram access (None if never touched).
@@ -238,14 +409,14 @@ impl MetricRegistry {
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
+        self.counters.by_name.is_empty()
+            && self.gauges.by_name.is_empty()
+            && self.hists.by_name.is_empty()
     }
 
-    /// Clears every metric.
+    /// Clears every metric (and the front cache with it).
     pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.hists.clear();
+        *self = MetricRegistry::default();
     }
 
     /// Takes an immutable, ordered snapshot for rendering and reports.
@@ -254,17 +425,17 @@ impl MetricRegistry {
             counters: self
                 .counters
                 .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
+                .map(|(k, &v)| (k.to_string(), v))
                 .collect(),
             gauges: self
                 .gauges
                 .iter()
-                .map(|(&k, &g)| (k.to_string(), g))
+                .map(|(k, &g)| (k.to_string(), g))
                 .collect(),
             hists: self
                 .hists
                 .iter()
-                .map(|(&k, h)| (k.to_string(), h.clone()))
+                .map(|(k, h)| (k.to_string(), h.clone()))
                 .collect(),
         }
     }
@@ -615,6 +786,73 @@ mod tests {
         let first = text.find("a.first").unwrap();
         let last = text.find("z.last").unwrap();
         assert!(first < last);
+    }
+
+    /// `name` at a fresh heap address as a `&'static str`. The leaked
+    /// strings stay reachable from a static, so Miri's leak check
+    /// accepts them.
+    fn leaked(name: String) -> &'static str {
+        static KEEP: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
+        let s: &'static str = Box::leak(name.into_boxed_str());
+        KEEP.lock().expect("test lock").push(s);
+        s
+    }
+
+    #[test]
+    fn aliases_of_one_name_share_a_metric_and_snapshots_ignore_fill_order() {
+        // The same name through two distinct addresses: a literal and a
+        // leaked heap copy.
+        let lit: &'static str = "alias.metric";
+        let heap = leaked(lit.to_string());
+        assert_ne!(lit.as_ptr(), heap.as_ptr());
+
+        let mut a = MetricRegistry::new();
+        a.add(lit, 2);
+        a.add(heap, 3);
+        a.gauge_set(heap, 9);
+        a.gauge_set(lit, 4);
+        a.observe(lit, 1);
+        a.observe(heap, 100);
+        // Enough other names to grow the cache past its first table.
+        let names: Vec<&'static str> = (0..100).map(|i| leaked(format!("fill.{i:03}"))).collect();
+        for &n in &names {
+            a.inc(n);
+        }
+        a.inc(lit);
+        assert_eq!(a.counter("alias.metric"), 6);
+        assert_eq!(
+            a.gauge("alias.metric"),
+            Gauge {
+                value: 4,
+                high_water: 9
+            }
+        );
+        assert_eq!(a.histogram("alias.metric").map(Histogram::count), Some(2));
+
+        // The same contents recorded in another order, through other
+        // aliases, render byte-identically.
+        let mut b = MetricRegistry::new();
+        for n in names.iter().rev() {
+            b.add(n, 1);
+        }
+        b.observe(heap, 100);
+        b.observe(lit, 1);
+        b.gauge_set(lit, 9);
+        b.add(heap, 6);
+        b.gauge_set(heap, 4);
+        assert_eq!(a.snapshot().to_text(), b.snapshot().to_text());
+        assert_eq!(a.snapshot().to_json_lines(), b.snapshot().to_json_lines());
+        assert_eq!(a.snapshot().counters.len(), 101);
+
+        // `clear` forgets the cached slots with the metrics.
+        a.clear();
+        assert!(a.is_empty());
+        a.gauge_set(heap, 1);
+        a.inc(lit);
+        assert_eq!(a.counter("alias.metric"), 1);
+        assert_eq!(a.gauge("alias.metric").high_water, 1);
+        assert_eq!(a.histogram("alias.metric"), None);
+        assert_eq!(a.snapshot().counters.len(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The network: hosts, links, listeners and connections, driven by an
-//! internal timer heap.
+//! internal timer queue.
 //!
 //! # Driving the network
 //!
@@ -11,13 +11,12 @@
 //! calls (connect/send/close/…) may also produce notifications; they are
 //! buffered and returned by the next `advance`.
 
-use std::cmp::Reverse;
 use std::collections::BTreeSet;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use simcore::paged::PagedSlots;
+use simcore::queue::TimerQueue;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 
@@ -189,14 +188,10 @@ pub struct Network {
     /// Dense, id-indexed (listeners are never removed).
     listeners: Vec<Listener>,
     listen_by_addr: HashMap<SockAddr, ListenerId>,
-    /// `(at, seq, slot)`: `seq` is the monotonic arming order (FIFO tie
-    /// break at equal times), `slot` indexes the timer arena.
-    timers: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Timer payload arena with free-list reuse: segments in flight are
-    /// pooled here instead of being allocated per packet.
-    timer_arena: Vec<Option<Timer>>,
-    timer_free: Vec<u32>,
-    timer_seq: u64,
+    /// Segments in flight and RTOs, fired in `(at, arming order)`
+    /// order. Deliveries ride one lane per (sending host, extra delay)
+    /// and RTOs one per constant delay; see [`deliver_lane`].
+    timers: TimerQueue<Timer>,
     out: Vec<NetNotify>,
     /// Scratch for `pump` (reused, no per-call allocation).
     pump_scratch: Vec<Segment>,
@@ -226,10 +221,7 @@ impl Network {
             next_conn: 0,
             listeners: Vec::new(),
             listen_by_addr: HashMap::new(),
-            timers: BinaryHeap::new(),
-            timer_arena: Vec::new(),
-            timer_free: Vec::new(),
-            timer_seq: 0,
+            timers: TimerQueue::new(),
             out: Vec::new(),
             pump_scratch: Vec::new(),
             stats: NetStats::default(),
@@ -342,24 +334,21 @@ impl Network {
             }
         }
         h.write_len(self.timers.len());
-        let mut armed: Vec<&Reverse<(SimTime, u64, u32)>> = self.timers.iter().collect();
-        armed.sort();
-        for Reverse((at, seq, slot)) in armed.into_iter().rev() {
+        self.timers.for_each_in_order(|at, seq, timer| {
             h.write_u64(at.as_nanos());
-            h.write_u64(*seq);
-            match &self.timer_arena[*slot as usize] {
-                None => h.write_u8(0),
-                Some(Timer::Deliver(s)) => {
+            h.write_u64(seq);
+            match timer {
+                Timer::Deliver(s) => {
                     h.write_u8(1);
                     seg_into(&mut h, s);
                 }
-                Some(Timer::Rto { conn, side }) => {
+                Timer::Rto { conn, side } => {
                     h.write_u8(2);
                     h.write_u64(u64::from(conn.0));
                     h.write_bool(*side == Side::Server);
                 }
             }
-        }
+        });
         h.write_len(self.out.len());
         h.finish()
     }
@@ -429,25 +418,15 @@ impl Network {
     // Timers.
     // ------------------------------------------------------------------
 
-    fn arm(&mut self, at: SimTime, t: Timer) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        let slot = match self.timer_free.pop() {
-            Some(s) => {
-                self.timer_arena[s as usize] = Some(t);
-                s
-            }
-            None => {
-                self.timer_arena.push(Some(t));
-                (self.timer_arena.len() - 1) as u32
-            }
-        };
-        self.timers.push(Reverse((at, seq, slot)));
+    /// Arms an RTO `delay` after `now` on that delay's lane.
+    fn arm_rto(&mut self, now: SimTime, delay: SimDuration, conn: ConnId, side: Side) {
+        self.timers
+            .push(now + delay, delay_lane(delay), Timer::Rto { conn, side });
     }
 
     /// Earliest pending work, if any.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let timer = self.timers.peek().map(|Reverse((t, _, _))| *t);
+        let timer = self.timers.next_deadline();
         let ports = self
             .hosts
             .iter()
@@ -465,10 +444,7 @@ impl Network {
     /// advance pass.
     pub fn has_work_at(&self, now: SimTime) -> bool {
         !self.out.is_empty()
-            || self
-                .timers
-                .peek()
-                .is_some_and(|Reverse((t, _, _))| *t <= now)
+            || self.timers.has_due(now)
             || self
                 .hosts
                 .iter()
@@ -491,16 +467,8 @@ impl Network {
     /// notifications accumulated since the previous call to `out` (which
     /// is *not* cleared — the caller owns the buffer).
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetNotify>) {
-        while let Some(&Reverse((t, _, slot))) = self.timers.peek() {
-            if t > now {
-                break;
-            }
-            self.timers.pop();
-            let body = self.timer_arena[slot as usize]
-                .take()
-                .expect("invariant: armed timers keep their bodies");
-            self.timer_free.push(slot);
-            match body {
+        while let Some((t, timer)) = self.timers.pop_due(now) {
+            match timer {
                 Timer::Deliver(seg) => self.deliver(t, seg),
                 Timer::Rto { conn, side } => self.rto_fire(t, conn, side),
             }
@@ -621,13 +589,7 @@ impl Network {
             // duplicate from `pump`.
             c.ep_mut(Side::Client).set_rto_armed(true);
         }
-        self.arm(
-            now + self.cfg.syn_rto,
-            Timer::Rto {
-                conn: id,
-                side: Side::Client,
-            },
-        );
+        self.arm_rto(now, self.cfg.syn_rto, id, Side::Client);
         Ok(id)
     }
 
@@ -797,7 +759,8 @@ impl Network {
         // leak tombstones without adding any behaviour the paper measures.
         let delay = self.hosts[from_host.0].tx.tx_time(seg.wire_bytes());
         let base = self.link_base_delay();
-        self.arm(now + delay + base + extra, Timer::Deliver(seg));
+        self.timers
+            .push(now + delay + base + extra, None, Timer::Deliver(seg));
         self.free_conn_ports(ep.conn, None);
         self.detach_listener(ep.conn);
         // The tombstone is reaped when the RST delivers (`on_rst`).
@@ -820,7 +783,10 @@ impl Network {
             return;
         }
         match self.hosts[from_host.0].tx.offer(now, &seg, extra) {
-            TxOutcome::Deliver(at) => self.arm(at, Timer::Deliver(seg)),
+            TxOutcome::Deliver(at) => {
+                self.timers
+                    .push(at, deliver_lane(from_host, extra), Timer::Deliver(seg));
+            }
             TxOutcome::Dropped => {
                 // Loss: the retransmission machinery recovers.
             }
@@ -1173,13 +1139,7 @@ impl Network {
         }
         self.pump_scratch = to_send;
         if arm_rto {
-            self.arm(
-                now + self.cfg.rto_initial,
-                Timer::Rto {
-                    conn: conn_id,
-                    side,
-                },
-            );
+            self.arm_rto(now, self.cfg.rto_initial, conn_id, side);
         }
     }
 
@@ -1278,8 +1238,9 @@ impl Network {
                         kind: SegKind::Syn,
                     },
                 );
-                self.arm(
+                self.timers.push(
                     now + rearm,
+                    None,
                     Timer::Rto {
                         conn: conn_id,
                         side,
@@ -1305,8 +1266,9 @@ impl Network {
             Action::Retransmit { rearm } => {
                 self.stats.retransmits += 1;
                 self.pump_retransmit(now, conn_id, side);
-                self.arm(
+                self.timers.push(
                     now + rearm,
+                    None,
                     Timer::Rto {
                         conn: conn_id,
                         side,
@@ -1314,8 +1276,9 @@ impl Network {
                 );
             }
             Action::Rearm { at } => {
-                self.arm(
+                self.timers.push(
                     at,
+                    None,
                     Timer::Rto {
                         conn: conn_id,
                         side,
@@ -1399,6 +1362,19 @@ impl Network {
             }
         }
     }
+}
+
+/// Timer-queue lane of a segment delivery. `Tx` serializes each host's
+/// segments and the base delay is shared, so for one (sending host,
+/// extra delay) pair arrival times never decrease.
+fn deliver_lane(host: HostId, extra: SimDuration) -> Option<u64> {
+    Some((extra.as_nanos() << 16) | (host.0 as u64 & 0xFFFF))
+}
+
+/// Timer-queue lane of a timer armed a constant `delay` after the
+/// current instant (kept apart from [`deliver_lane`] by the top bit).
+fn delay_lane(delay: SimDuration) -> Option<u64> {
+    Some((1 << 63) | delay.as_nanos())
 }
 
 /// How many response-prefix bytes [`Network::recv_discard`] captures.

@@ -7,9 +7,10 @@
 //! benchmark for 35,000 connections, and then wait for all sockets to
 //! leave the TIMEWAIT state" (§5). This module reproduces that limit.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
+use simcore::fingerprint::Fnv;
+use simcore::paged::PagedBits;
 use simcore::time::SimTime;
 
 use crate::addr::Port;
@@ -26,14 +27,13 @@ pub struct PortAllocator {
     hi: Port,
     next: Port,
     /// Ports currently bound to a live endpoint.
-    in_use: std::collections::HashSet<Port>,
-    /// Ports in TIME_WAIT, keyed by expiry time (multiple ports may share
-    /// an expiry).
-    time_wait: BTreeMap<SimTime, Vec<Port>>,
-    /// Reverse index so we know a port is waiting.
-    waiting: std::collections::HashSet<Port>,
-    /// Ports released outright (closed without TIME_WAIT) for quick reuse.
-    free_list: VecDeque<Port>,
+    in_use: PagedBits,
+    /// Ports in TIME_WAIT as `(expiry, port)`, ordered by expiry, equal
+    /// expiries in release order. The network always releases with
+    /// `now + time_wait`, so releases append at the back.
+    time_wait: VecDeque<(SimTime, Port)>,
+    /// The ports in `time_wait`, as a set.
+    waiting: PagedBits,
 }
 
 impl PortAllocator {
@@ -48,10 +48,9 @@ impl PortAllocator {
             lo,
             hi,
             next: lo,
-            in_use: Default::default(),
-            time_wait: BTreeMap::new(),
-            waiting: Default::default(),
-            free_list: VecDeque::new(),
+            in_use: PagedBits::new(),
+            time_wait: VecDeque::new(),
+            waiting: PagedBits::new(),
         }
     }
 
@@ -62,43 +61,42 @@ impl PortAllocator {
 
     /// Expires TIME_WAIT entries due at or before `now`.
     pub fn expire(&mut self, now: SimTime) {
-        // Called on every `Network::advance_into`, so the common case —
-        // nothing due yet — must not touch the tree: `split_off` +
-        // replace rebuilds nodes even when every entry stays.
-        match self.time_wait.first_key_value() {
-            Some((&t, _)) if t <= now => {}
-            _ => return,
-        }
-        // `split_off` keeps entries strictly greater than `now` in the
-        // map; everything at or before `now` expires.
-        let still_waiting = self
-            .time_wait
-            .split_off(&SimTime::from_nanos(now.as_nanos() + 1));
-        for (_t, ports) in std::mem::replace(&mut self.time_wait, still_waiting) {
-            for p in ports {
-                self.waiting.remove(&p);
-                self.free_list.push_back(p);
+        while let Some(&(at, port)) = self.time_wait.front() {
+            if at > now {
+                break;
             }
+            self.time_wait.pop_front();
+            self.waiting.remove(usize::from(port));
         }
     }
 
     /// Allocates a port, or `None` if the range is exhausted
-    /// (everything is in use or in TIME_WAIT).
+    /// (everything is in use or in TIME_WAIT). Ports are handed out
+    /// round-robin: the first free port at or after the one past the
+    /// last allocation, wrapping to the bottom of the range.
     pub fn alloc(&mut self, now: SimTime) -> Option<Port> {
         self.expire(now);
-        // Fast path: sweep the range once from `next`.
-        let span = (self.hi - self.lo) as usize;
-        for _ in 0..span {
-            let p = self.next;
-            self.next = if self.next + 1 >= self.hi {
-                self.lo
-            } else {
-                self.next + 1
-            };
-            if !self.in_use.contains(&p) && !self.waiting.contains(&p) {
-                self.in_use.insert(p);
-                return Some(p);
+        let p = self
+            .first_free(self.next, self.hi)
+            .or_else(|| self.first_free(self.lo, self.next))?;
+        self.next = if p + 1 >= self.hi { self.lo } else { p + 1 };
+        self.in_use.insert(usize::from(p));
+        Some(p)
+    }
+
+    /// Lowest port in `[from, to)` that is neither bound nor in
+    /// TIME_WAIT, scanned 64 ports per step.
+    fn first_free(&self, from: Port, to: Port) -> Option<Port> {
+        let (mut ix, to) = (usize::from(from), usize::from(to));
+        while ix < to {
+            let w = ix / 64;
+            // Bits below `ix` in its word count as taken.
+            let taken = self.in_use.word(w) | self.waiting.word(w) | ((1u64 << (ix % 64)) - 1);
+            if taken != u64::MAX {
+                let p = w * 64 + (!taken).trailing_zeros() as usize;
+                return (p < to).then_some(p as Port);
             }
+            ix = (w + 1) * 64;
         }
         None
     }
@@ -107,70 +105,86 @@ impl PortAllocator {
     ///
     /// Returns `false` if the port is already taken.
     pub fn bind(&mut self, port: Port) -> bool {
-        if self.in_use.contains(&port) {
-            return false;
-        }
-        self.in_use.insert(port);
-        true
+        self.in_use.insert(usize::from(port))
     }
 
     /// Releases a port into TIME_WAIT until `until`.
     pub fn release_time_wait(&mut self, port: Port, until: SimTime) {
-        if self.in_use.remove(&port) {
-            self.time_wait.entry(until).or_default().push(port);
-            self.waiting.insert(port);
+        if !self.in_use.remove(usize::from(port)) {
+            return;
         }
+        if self.time_wait.back().is_none_or(|&(at, _)| at <= until) {
+            self.time_wait.push_back((until, port));
+        } else {
+            // An earlier expiry than the newest: keep the queue sorted,
+            // after any entries that expire at the same instant.
+            let ix = self.time_wait.partition_point(|&(at, _)| at <= until);
+            self.time_wait.insert(ix, (until, port));
+        }
+        self.waiting.insert(usize::from(port));
     }
 
     /// Releases a port immediately (abortive close — no TIME_WAIT).
     pub fn release(&mut self, port: Port) {
-        self.in_use.remove(&port);
+        self.in_use.remove(usize::from(port));
     }
 
     /// Number of ports currently bound.
     pub fn in_use(&self) -> usize {
-        self.in_use.len()
+        self.in_use.count()
     }
 
     /// Number of ports sitting in TIME_WAIT.
     pub fn in_time_wait(&self) -> usize {
-        self.waiting.len()
+        self.waiting.count()
     }
 
     /// Earliest TIME_WAIT expiry, if any.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.time_wait.keys().next().copied()
+        self.time_wait.front().map(|&(at, _)| at)
     }
 
-    /// Folds the allocator's semantic state into `h`. The unordered
-    /// sets are folded as an order-independent XOR so the digest does
-    /// not depend on hash-map iteration order.
-    pub fn fingerprint_into(&self, h: &mut simcore::fingerprint::Fnv) {
+    /// Folds the allocator's semantic state into `h`. Each port set is
+    /// folded as its size plus the XOR of its ports' digests, and the
+    /// TIME_WAIT queue as one group per distinct expiry.
+    pub fn fingerprint_into(&self, h: &mut Fnv) {
         h.write_u64(u64::from(self.lo));
         h.write_u64(u64::from(self.hi));
         h.write_u64(u64::from(self.next));
-        let xor_of = |set: &std::collections::HashSet<Port>| {
-            set.iter().fold(0u64, |acc, &p| {
-                let mut e = simcore::fingerprint::Fnv::new();
-                e.write_u64(u64::from(p));
-                acc ^ e.finish()
-            })
+        let xor_of = |set: &PagedBits| {
+            let mut acc = 0u64;
+            set.for_each_nonzero_word(|w, mut word| {
+                while word != 0 {
+                    let mut e = Fnv::new();
+                    e.write_u64((w * 64 + word.trailing_zeros() as usize) as u64);
+                    acc ^= e.finish();
+                    word &= word - 1;
+                }
+            });
+            acc
         };
-        h.write_len(self.in_use.len());
+        h.write_len(self.in_use.count());
         h.write_u64(xor_of(&self.in_use));
-        h.write_len(self.waiting.len());
+        h.write_len(self.waiting.count());
         h.write_u64(xor_of(&self.waiting));
-        h.write_len(self.time_wait.len());
-        for (at, ports) in &self.time_wait {
+        let tw = &self.time_wait;
+        let expiries = tw
+            .iter()
+            .zip(tw.iter().skip(1))
+            .filter(|(a, b)| a.0 != b.0)
+            .count()
+            + usize::from(!tw.is_empty());
+        h.write_len(expiries);
+        let mut i = 0;
+        while i < tw.len() {
+            let at = tw[i].0;
+            let n = tw.range(i..).take_while(|&&(t, _)| t == at).count();
             h.write_u64(at.as_nanos());
-            h.write_len(ports.len());
-            for &p in ports {
+            h.write_len(n);
+            for &(_, p) in tw.range(i..i + n) {
                 h.write_u64(u64::from(p));
             }
-        }
-        h.write_len(self.free_list.len());
-        for &p in &self.free_list {
-            h.write_u64(u64::from(p));
+            i += n;
         }
     }
 }
@@ -237,6 +251,59 @@ mod tests {
         a.release_time_wait(p1, SimTime::from_secs(60));
         a.release_time_wait(p2, SimTime::from_secs(30));
         assert_eq!(a.next_expiry(), Some(SimTime::from_secs(30)));
+    }
+
+    #[test]
+    fn allocation_order_is_pinned_across_wrap_reuse_and_exhaustion() {
+        // A 130-port range spans three 64-bit words of the bitsets.
+        let (lo, hi) = (1000, 1130);
+        let mut a = PortAllocator::new(lo, hi);
+        let t0 = SimTime::ZERO;
+        let first: Vec<Port> = (0..hi - lo).map(|_| a.alloc(t0).unwrap()).collect();
+        assert_eq!(first, (lo..hi).collect::<Vec<_>>(), "ascending from lo");
+        assert_eq!(a.alloc(t0), None, "exhausted");
+
+        // Free a port in each word, one into TIME_WAIT: the scan resumes
+        // after the last allocation (the top of the range), so it wraps
+        // and finds the lowest free port first.
+        a.release(1100);
+        a.release(1003);
+        let expiry = SimTime::from_secs(60);
+        a.release_time_wait(1070, expiry);
+        assert_eq!(a.alloc(t0), Some(1003));
+        assert_eq!(a.alloc(t0), Some(1100), "resumes after 1003, skips 1070");
+        assert_eq!(a.alloc(t0), None, "1070 still in TIME_WAIT");
+        assert_eq!(a.in_use(), 129);
+        assert_eq!(a.in_time_wait(), 1);
+
+        // After expiry the waiting port is reusable, found by wrapping.
+        assert_eq!(a.alloc(expiry), Some(1070));
+        assert_eq!(a.in_time_wait(), 0);
+        assert_eq!(a.alloc(expiry), None);
+
+        // Round-robin, not lowest-first: after 1070 the next free port
+        // at or above 1071 wins over a lower one.
+        a.release(1010);
+        a.release(1120);
+        assert_eq!(a.alloc(expiry), Some(1120));
+        assert_eq!(a.alloc(expiry), Some(1010));
+    }
+
+    #[test]
+    fn out_of_order_time_wait_releases_expire_in_expiry_order() {
+        let mut a = PortAllocator::new(10, 20);
+        let t = SimTime::ZERO;
+        let ports: Vec<Port> = (0..4).map(|_| a.alloc(t).unwrap()).collect();
+        a.release_time_wait(ports[0], SimTime::from_secs(50));
+        a.release_time_wait(ports[1], SimTime::from_secs(30));
+        a.release_time_wait(ports[2], SimTime::from_secs(50));
+        a.release_time_wait(ports[3], SimTime::from_secs(30));
+        assert_eq!(a.next_expiry(), Some(SimTime::from_secs(30)));
+        let order: Vec<Port> = a.time_wait.iter().map(|&(_, p)| p).collect();
+        assert_eq!(order, [ports[1], ports[3], ports[0], ports[2]]);
+        a.expire(SimTime::from_secs(30));
+        assert_eq!(a.in_time_wait(), 2);
+        assert_eq!(a.next_expiry(), Some(SimTime::from_secs(50)));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`simcore`] | discrete-event engine, deterministic RNG, statistics |
+//! | [`simcore`] | simulated clock, timer queue, deterministic RNG, statistics |
 //! | [`simnet`] | hosts, 100 Mbit/s links, simplified TCP, TIME_WAIT, ports |
 //! | [`simkernel`] | fd tables, sockets, wait queues, signals, the calibrated K6-2 CPU |
 //! | [`devpoll`] | **the paper's contribution**: stock `poll()`, `/dev/poll`, RT-signal API |
